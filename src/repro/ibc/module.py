@@ -151,6 +151,9 @@ class IbcModule(Journaled):
 
         # Fast-path mirrors of provable-store entries.
         self._commitments: dict[tuple[str, str, int], bytes] = {}
+        # (port, channel) -> live commitment sequences, kept in step with
+        # ``_commitments`` so pending scans cost O(answer), not O(state).
+        self._pending: dict[tuple[str, str], set[int]] = {}
         self._receipts: set[tuple[str, str, int]] = set()
         self._acks: dict[tuple[str, str, int], Acknowledgement] = {}
         # Archive of sent packets (what packet-clearing queries reconstruct
@@ -576,10 +579,8 @@ class IbcModule(Journaled):
         )
         commitment = packet.commitment()
         commit_key = (port_id, channel_id, sequence)
-        self._journal_undo(
-            lambda k=commit_key: self._commitments.pop(k, None)
-        )
-        self._commitments[commit_key] = commitment
+        self._journal_undo(lambda k=commit_key: self._drop_commitment(k))
+        self._put_commitment(commit_key, commitment)
         self._journal_undo(lambda k=commit_key: self._sent_packets.pop(k, None))
         self._sent_packets[commit_key] = packet
         self.store.set(
@@ -740,9 +741,9 @@ class IbcModule(Journaled):
             )
             self.next_sequence_ack[ack_key] = expected + 1
         self._journal_undo(
-            lambda k=src_key, v=commitment: self._commitments.__setitem__(k, v)
+            lambda k=src_key, v=commitment: self._put_commitment(k, v)
         )
-        del self._commitments[src_key]
+        self._drop_commitment(src_key)
         self.store.delete(keys.packet_commitment_path(*src_key))
         app = self.app_for_port(packet.source_port)
         app.on_acknowledgement(packet, msg.acknowledgement, ctx)
@@ -794,9 +795,9 @@ class IbcModule(Journaled):
                 proof=msg.proof_unreceived,
             )
         self._journal_undo(
-            lambda k=src_key, v=commitment: self._commitments.__setitem__(k, v)
+            lambda k=src_key, v=commitment: self._put_commitment(k, v)
         )
-        del self._commitments[src_key]
+        self._drop_commitment(src_key)
         self.store.delete(keys.packet_commitment_path(*src_key))
         app = self.app_for_port(packet.source_port)
         app.on_timeout(packet, ctx)
@@ -805,6 +806,14 @@ class IbcModule(Journaled):
                 "timeout_packet", packet, packet_src_chain=self.chain_id
             )
         ]
+
+    def _put_commitment(self, key: tuple[str, str, int], commitment: bytes) -> None:
+        self._commitments[key] = commitment
+        self._pending.setdefault(key[:2], set()).add(key[2])
+
+    def _drop_commitment(self, key: tuple[str, str, int]) -> None:
+        if self._commitments.pop(key, None) is not None:
+            self._pending[key[:2]].discard(key[2])
 
     # ------------------------------------------------------------------
     # State queries (used by the RPC layer and the relayer)
@@ -830,11 +839,7 @@ class IbcModule(Journaled):
         self, port_id: str, channel_id: str
     ) -> list[int]:
         """Sequences with live (unacknowledged, un-timed-out) commitments."""
-        return sorted(
-            seq
-            for (p, c, seq) in self._commitments
-            if p == port_id and c == channel_id
-        )
+        return sorted(self._pending.get((port_id, channel_id), ()))
 
     def prove_commitment(
         self, port_id: str, channel_id: str, sequence: int

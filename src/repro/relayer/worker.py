@@ -28,6 +28,7 @@ concurrency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any
 
 from repro import calibration as cal
@@ -104,6 +105,10 @@ class DirectionWorker:
         self.ack_queue: Store = Store(env)
         #: Packets sent on src whose acks we have not yet relayed.
         self.pending: dict[int, Packet] = {}
+        #: Min-heap of ``(timeout revision_height, sequence)`` for pending
+        #: packets with a timeout height; entries of settled packets are
+        #: dropped lazily when they come due.
+        self._timeouts: list[tuple[int, int]] = []
         #: Sequences currently being relayed (avoid double work in clearing).
         self._in_flight: set[int] = set()
         self._started = False
@@ -173,7 +178,7 @@ class DirectionWorker:
             return
         # Track for timeout handling regardless of relay success.
         for event in batch.events:
-            self.pending.setdefault(event.packet.sequence, event.packet)
+            self._add_pending(event.packet)
 
         packets = yield from self._pull_send_data(batch)
         if not packets:
@@ -491,27 +496,45 @@ class DirectionWorker:
     # Timeout relaying
     # ------------------------------------------------------------------
 
+    def _add_pending(self, packet: Packet) -> None:
+        """Add ``packet`` to ``pending`` (first sighting wins)."""
+        if packet.sequence in self.pending:
+            return
+        self.pending[packet.sequence] = packet
+        if not packet.timeout_height.is_zero:
+            heappush(
+                self._timeouts,
+                (packet.timeout_height.revision_height, packet.sequence),
+            )
+
     def _timeout_loop(self):
+        timeouts = self._timeouts
+        pending = self.pending
         while True:
             yield self.env.timeout(self.config.confirm_poll_seconds * 2)
-            if not self.pending:
-                continue
             dst_height = self.heights.get(self.dst_end.chain_id, 0)
-            # Filter on the unsorted dict first — most polls expire nothing,
-            # so sorting the full pending set every tick is wasted work.
-            expired = [
-                p
-                for p in self.pending.values()
-                if not p.timeout_height.is_zero
-                and p.timeout_height.revision_height <= dst_height
-                and p.sequence not in self._in_flight
-            ]
-            if not expired:
+            # Pop only the entries that came due; a sequence can sit in the
+            # heap twice if it left ``pending`` and was tracked again.
+            due: list[tuple[int, int]] = []
+            while timeouts and timeouts[0][0] <= dst_height:
+                entry = heappop(timeouts)
+                if entry[1] in pending and (not due or due[-1] != entry):
+                    due.append(entry)
+            if not due:
                 continue
             # Sorted by sequence: timeout submission order must not depend
-            # on pending-dict insertion history.
-            expired.sort(key=_by_sequence)
-            yield from self._relay_timeouts(expired)
+            # on heap or pending-dict insertion history.
+            expired = sorted(
+                (pending[seq] for _, seq in due if seq not in self._in_flight),
+                key=_by_sequence,
+            )
+            if expired:
+                yield from self._relay_timeouts(expired)
+            # Still-unsettled packets (in flight, or whose timeout did not
+            # go through) stay due for the next tick.
+            for entry in due:
+                if entry[1] in pending:
+                    heappush(timeouts, entry)
 
     def _relay_timeouts(self, expired: list[Packet]):
         # Group messages by the header they were proven against so each
@@ -645,7 +668,7 @@ class DirectionWorker:
             return
         packets = [self._packet_from_attrs(e["attrs"]) for e in entries]
         for packet in packets:
-            self.pending.setdefault(packet.sequence, packet)
+            self._add_pending(packet)
         try:
             unreceived = yield from self.dst.query(
                 "unreceived_packets",

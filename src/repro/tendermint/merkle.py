@@ -57,28 +57,43 @@ def simple_hash_from_byte_slices(items: Sequence[bytes]) -> bytes:
 
 
 @dataclass(frozen=True, slots=True)
-class ProofNode:
-    """One step in an audit path: a sibling hash and its side."""
-
-    sibling: bytes
-    sibling_on_left: bool
-
-
-@dataclass(frozen=True, slots=True)
 class MembershipProof:
-    """Audit path proving ``key -> value`` is in the tree with some root."""
+    """Audit path proving ``key -> value`` sits at ``leaf_index`` of a tree.
+
+    ``siblings`` reads leaf-upward.  Which side each sibling joins on is
+    not stored: it follows from ``leaf_index`` and ``tree_size`` (RFC 9162
+    §2.1.3.2), so a proof that verifies also proves its leaf's position.
+    """
 
     key: bytes
     value_hash: bytes
-    path: tuple[ProofNode, ...]
+    leaf_index: int
+    tree_size: int
+    siblings: tuple[bytes, ...]
 
-    def compute_root(self) -> bytes:
+    def compute_root(self) -> Optional[bytes]:
+        """Root the path folds to, or None if it cannot fit the tree size."""
+        fn = self.leaf_index
+        sn = self.tree_size - 1
+        if fn < 0 or fn > sn:
+            return None
         node = _leaf_hash(self.key + b"=" + self.value_hash)
-        for step in self.path:
-            if step.sibling_on_left:
-                node = _inner_hash(step.sibling, node)
+        for sibling in self.siblings:
+            if sn == 0:
+                return None
+            if fn & 1 or fn == sn:
+                node = _inner_hash(sibling, node)
+                # A last node with no right sibling is promoted unchanged
+                # until it becomes a right child.
+                while not fn & 1 and fn:
+                    fn >>= 1
+                    sn >>= 1
             else:
-                node = _inner_hash(node, step.sibling)
+                node = _inner_hash(node, sibling)
+            fn >>= 1
+            sn >>= 1
+        if sn != 0:
+            return None
         return node
 
 
@@ -87,32 +102,31 @@ class NonMembershipProof:
     """Proof that ``key`` is absent: membership proofs of its neighbours.
 
     With leaves sorted by key, a key is absent iff its would-be left and
-    right neighbours are adjacent in the tree.  Edge positions use a single
-    neighbour proof plus the boundary flag.
+    right neighbours are adjacent leaves.  Adjacency is read from the
+    neighbours' own positions, which their audit paths bind; at an edge
+    of the tree the single neighbour must be the first or last leaf.
     """
 
     key: bytes
     left: Optional[MembershipProof]
     right: Optional[MembershipProof]
-    left_index: Optional[int]
-    right_index: Optional[int]
 
     def consistent(self) -> bool:
-        """Structural sanity: the claimed neighbours bracket the key."""
-        if self.left is not None and self.left.key >= self.key:
+        """The neighbours bracket the key and sit side by side."""
+        left, right = self.left, self.right
+        if left is not None and left.key >= self.key:
             return False
-        if self.right is not None and self.right.key <= self.key:
+        if right is not None and right.key <= self.key:
             return False
-        if self.left is None and self.right is None:
-            # Absent from an empty tree.
-            return self.left_index is None and self.right_index is None
-        if (
-            self.left_index is not None
-            and self.right_index is not None
-            and self.right_index != self.left_index + 1
-        ):
-            return False
-        return True
+        if left is None:
+            # Absent from an empty tree, or before the first leaf.
+            return right is None or right.leaf_index == 0
+        if right is None:
+            return left.leaf_index == left.tree_size - 1
+        return (
+            left.tree_size == right.tree_size
+            and right.leaf_index == left.leaf_index + 1
+        )
 
 
 class ProvableStore:
@@ -129,11 +143,11 @@ class ProvableStore:
         self._committed: dict[bytes, bytes] = {}
         self._root: bytes = EMPTY_HASH
         self._dirty = False
-        # Memoized merkle internals for the committed snapshot: leaf hashes
-        # and subtree roots keyed by (start, end) ranges.  Computed once per
-        # commit so that each proof is O(log n) instead of O(n).
-        self._leaf_hashes: list[bytes] = []
-        self._subtree_roots: dict[tuple[int, int], bytes] = {}
+        # The committed tree, bottom-up: ``_levels[0]`` holds the leaf hashes
+        # and each level above pairs up the one below (an odd last node is
+        # promoted unchanged).  Built once per commit; a proof then reads
+        # one sibling per level.
+        self._levels: list[list[bytes]] = []
         self._key_index: dict[bytes, int] = {}
         # Leaf hashes survive across commits: most keys are unchanged from
         # block to block, so each entry maps key -> (value, value_hash,
@@ -197,13 +211,16 @@ class ProvableStore:
                 cached = (value, value_hash, _leaf_hash(key + b"=" + value_hash))
                 leaf_cache[key] = cached
             leaf_hashes.append(cached[2])
-        self._leaf_hashes = leaf_hashes
-        self._subtree_roots = {}
+        self._levels = levels = [leaf_hashes]
+        level = leaf_hashes
+        while len(level) > 1:
+            parents = list(map(_inner_hash, level[0::2], level[1::2]))
+            if len(level) & 1:
+                parents.append(level[-1])
+            levels.append(parents)
+            level = parents
+        self._root = level[0] if level else EMPTY_HASH
         self._proof_cache = {}
-        if self._leaf_hashes:
-            self._root = self._subtree_root(0, len(self._leaf_hashes))
-        else:
-            self._root = EMPTY_HASH
         self._dirty = False
         return self._root
 
@@ -224,21 +241,6 @@ class ProvableStore:
         """Root of the last committed snapshot."""
         return self._root
 
-    def _subtree_root(self, start: int, end: int) -> bytes:
-        """Root of leaves [start, end), memoized for the committed snapshot."""
-        if end - start == 1:
-            return self._leaf_hashes[start]
-        cached = self._subtree_roots.get((start, end))
-        if cached is not None:
-            return cached
-        split = _split_point(end - start)
-        root = _inner_hash(
-            self._subtree_root(start, start + split),
-            self._subtree_root(start + split, end),
-        )
-        self._subtree_roots[(start, end)] = root
-        return root
-
     # -- proofs (against the committed snapshot) ------------------------------
 
     def prove(self, key: bytes) -> MembershipProof:
@@ -246,10 +248,16 @@ class ProvableStore:
         proof = self._proof_cache.get(key)
         if proof is not None:
             return proof
-        index = self._key_index.get(key)
-        if index is None:
+        leaf_index = self._key_index.get(key)
+        if leaf_index is None:
             raise KeyError(f"key {key!r} not in committed state")
-        path = self._audit_path(index)
+        siblings = []
+        index = leaf_index
+        for level in self._levels[:-1]:
+            sibling = index ^ 1
+            if sibling < len(level):
+                siblings.append(level[sibling])
+            index >>= 1
         cached = self._leaf_cache.get(key)
         if cached is not None and cached[0] == self._committed[key]:
             value_hash = cached[1]
@@ -258,7 +266,9 @@ class ProvableStore:
         proof = MembershipProof(
             key=key,
             value_hash=value_hash,
-            path=tuple(path),
+            leaf_index=leaf_index,
+            tree_size=len(self._committed_keys),
+            siblings=tuple(siblings),
         )
         self._proof_cache[key] = proof
         return proof
@@ -269,41 +279,11 @@ class ProvableStore:
             raise KeyError(f"key {key!r} IS in committed state")
         idx = bisect.bisect_left(self._committed_keys, key)
         left = right = None
-        left_index = right_index = None
         if idx > 0:
-            left_index = idx - 1
-            left = self.prove(self._committed_keys[left_index])
+            left = self.prove(self._committed_keys[idx - 1])
         if idx < len(self._committed_keys):
-            right_index = idx
-            right = self.prove(self._committed_keys[right_index])
-        return NonMembershipProof(
-            key=key,
-            left=left,
-            right=right,
-            left_index=left_index,
-            right_index=right_index,
-        )
-
-    def _audit_path(self, index: int) -> list[ProofNode]:
-        # Walk the tree top-down collecting siblings, then reverse so the
-        # path reads leaf-upward (the order ``compute_root`` folds in).
-        subtree_root = self._subtree_root
-        path: list[ProofNode] = []
-        start, end = 0, len(self._leaf_hashes)
-        while end - start > 1:
-            mid = start + _split_point(end - start)
-            if index < mid:
-                path.append(
-                    ProofNode(sibling=subtree_root(mid, end), sibling_on_left=False)
-                )
-                end = mid
-            else:
-                path.append(
-                    ProofNode(sibling=subtree_root(start, mid), sibling_on_left=True)
-                )
-                start = mid
-        path.reverse()
-        return path
+            right = self.prove(self._committed_keys[idx])
+        return NonMembershipProof(key=key, left=left, right=right)
 
 
 def verify_membership(root: bytes, proof: MembershipProof, value: bytes) -> bool:
@@ -316,9 +296,9 @@ def verify_membership(root: bytes, proof: MembershipProof, value: bytes) -> bool
 def verify_non_membership(root: bytes, proof: NonMembershipProof) -> bool:
     """Check a non-membership proof against a root.
 
-    Verifies both neighbour membership proofs and their bracketing of the
-    absent key.  (Adjacency of audit-path indices is asserted structurally
-    via :meth:`NonMembershipProof.consistent`.)
+    Verifies each neighbour's membership proof, that they bracket the
+    absent key, and that their proven positions are adjacent (see
+    :meth:`NonMembershipProof.consistent`).
     """
     if not proof.consistent():
         return False

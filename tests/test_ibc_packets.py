@@ -1,14 +1,21 @@
 """IBC packet life-cycle tests over a direct two-chain pair (Fig. 2 / Fig. 3)."""
 
+import copy
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.cosmos.app import TRANSFER_DENOM
+from repro.ibc import keys
 from repro.ibc.channel import ChannelOrder
-from repro.ibc.msgs import MsgRecvPacket, MsgTransfer, MsgUpdateClient
+from repro.ibc.msgs import MsgRecvPacket, MsgTimeout, MsgTransfer, MsgUpdateClient
 from repro.ibc.packet import Height
 from repro.ibc.transfer import escrow_address
+from repro.tendermint.merkle import NonMembershipProof
 
 from tests.ibc_harness import IbcPair
+from tests.test_denom_multichannel import open_second_channel
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +299,38 @@ def test_timeout_after_receive_impossible():
         )
 
 
+def test_timeout_of_received_packet_with_forged_absence_proof_rejected():
+    """Skipping over the receipt with non-adjacent neighbours must not
+    let a received packet be refunded as timed out."""
+    pair = fresh_pair()
+    packet = pair.transfer(amount=21, timeout_blocks=3)
+    pair.relay_recv([packet])
+    for _ in range(4):
+        pair.b.make_block([])
+    receipt = keys.packet_receipt_path("transfer", pair.chan_b, packet.sequence)
+    store = pair.b.ibc.store
+    committed = sorted(store._committed)
+    index = committed.index(receipt)
+    # Bracket the receipt with the keys either side of it (it may be the
+    # last key, in which case the forgery claims its left one is last).
+    after = committed[index + 1 :]
+    forged = NonMembershipProof(
+        key=receipt,
+        left=store.prove(committed[index - 1]),
+        right=store.prove(after[0]) if after else None,
+    )
+    (update,) = pair.timeout_msgs([])
+    msg = MsgTimeout(
+        packet=packet, proof_unreceived=forged, proof_height=update.header.height
+    )
+    escrow = escrow_address("transfer", pair.chan_a)
+    locked = pair.a.bank.balance(escrow, TRANSFER_DENOM)
+    result = pair.exec_expect_fail(pair.a, pair.relayer_a, [update, msg])
+    assert "non-membership proof failed" in result.log
+    assert pair.a.bank.balance(escrow, TRANSFER_DENOM) == locked
+    assert pair.a.ibc.has_commitment("transfer", pair.chan_a, packet.sequence)
+
+
 def test_double_timeout_redundant():
     pair = fresh_pair()
     packet = pair.transfer(timeout_blocks=1)
@@ -391,3 +430,93 @@ def test_supply_conserved_across_cycles():
     voucher = pair.voucher_denom()
     assert pair.a.bank.balance(escrow, TRANSFER_DENOM) == 30
     assert pair.b.bank.supply(voucher) == 30
+
+
+# -- pending-commitment index ---------------------------------------------------
+
+
+def _brute_force_pending(ibc, port, channel):
+    return sorted(s for (p, c, s) in ibc._commitments if (p, c) == (port, channel))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pending_index_matches_commitments_under_random_ops(seed):
+    """``pending_commitments`` equals a scan of the commitments after every
+    send, ack, timeout and rolled-back multi-msg tx, on two channels."""
+    pair = fresh_pair()
+    second = copy.copy(pair)  # shares both chains; relays the second channel
+    second.chan_a, second.chan_b = open_second_channel(pair)
+    lanes = (pair, second)
+    # Per lane: sequence -> (packet, state) for packets still committed.
+    live = ({}, {})
+    rng = random.Random(seed)
+
+    def check():
+        for lane, packets in zip(lanes, live):
+            expected = _brute_force_pending(pair.a.ibc, "transfer", lane.chan_a)
+            assert pair.a.ibc.pending_commitments("transfer", lane.chan_a) == expected
+            assert expected == sorted(packets)
+
+    done = set()
+    for _ in range(60):
+        which = rng.randrange(2)
+        lane, packets = lanes[which], live[which]
+        sent = [s for s, (_p, state) in sorted(packets.items()) if state != "short"]
+        short = [s for s, (_p, state) in sorted(packets.items()) if state == "short"]
+        op = rng.choice(
+            ["send", "send", "rollback"]
+            + ["relay"] * bool(sent)
+            + ["timeout"] * bool(short)
+        )
+        if op == "send":
+            timeout_blocks = rng.choice((2, 1000))
+            packet = lane.transfer(amount=1, timeout_blocks=timeout_blocks)
+            packets[packet.sequence] = (
+                packet, "short" if timeout_blocks == 2 else "sent"
+            )
+        elif op == "relay":
+            packet, state = packets[rng.choice(sent)]
+            if state == "sent":
+                lane.relay_recv([packet])
+            if rng.random() < 0.5:
+                lane.relay_ack([packet])
+                del packets[packet.sequence]
+                done.add("ack")
+            else:
+                # The duplicate ack fails as redundant, so the tx rolls the
+                # first ack back: the commitment must come back pending.
+                msgs = lane.ack_msgs([packet])
+                lane.exec_expect_fail(pair.a, pair.relayer_a, msgs + msgs[1:])
+                packets[packet.sequence] = (packet, "received")
+                done.add("ack rolled back")
+        elif op == "timeout":
+            packet = packets[rng.choice(short)][0]
+            while pair.b.height < packet.timeout_height.revision_height:
+                pair.b.make_block([])
+            msgs = lane.timeout_msgs([packet])
+            if rng.random() < 0.5:
+                lane.exec_ok(pair.a, pair.relayer_a, msgs)
+                del packets[packet.sequence]
+                done.add("timeout")
+            else:
+                lane.exec_expect_fail(pair.a, pair.relayer_a, msgs + msgs[1:])
+                done.add("timeout rolled back")
+        else:
+            # A send followed by an unaffordable one: the whole tx fails
+            # and the first send's commitment is journaled away.
+            transfer = MsgTransfer(
+                source_port="transfer",
+                source_channel=lane.chan_a,
+                denom=TRANSFER_DENOM,
+                amount=1,
+                sender=pair.user.wallet.address,
+                receiver=pair.receiver.address,
+                timeout_height=Height(0, pair.b.height + 1000),
+            )
+            too_big = replace(transfer, amount=10**18)
+            lane.exec_expect_fail(pair.a, pair.user, [transfer, too_big])
+            done.add("send rolled back")
+        check()
+    assert done == {
+        "ack", "ack rolled back", "timeout", "timeout rolled back", "send rolled back"
+    }

@@ -155,3 +155,70 @@ def test_work_batch_tx_hash_order_preserved():
     batch = _batch(hashes)
     assert batch.tx_hashes == [b"\x03" * 32, b"\x01" * 32, b"\x02" * 32]
     assert len(batch.events_for_tx(b"\x03" * 32)) == 2
+
+
+# -- timeout heap ------------------------------------------------------------------
+
+
+def _packet(sequence, timeout_height):
+    from repro.ibc.packet import Height, Packet
+
+    return Packet(
+        sequence=sequence,
+        source_port="transfer",
+        source_channel="channel-0",
+        destination_port="transfer",
+        destination_channel="channel-0",
+        data=b"{}",
+        timeout_height=Height(0, timeout_height),
+        timeout_timestamp=1.0 if timeout_height == 0 else 0.0,
+    )
+
+
+def test_timeout_heap_relays_due_packets_in_sequence_order():
+    worker = make_worker()
+    relayed = []
+    declined = {6}  # its first timeout attempt does not go through
+
+    def fake_relay_timeouts(expired):
+        relayed.append([p.sequence for p in expired])
+        for packet in expired:
+            if packet.sequence in declined:
+                declined.discard(packet.sequence)
+            else:
+                worker.pending.pop(packet.sequence)
+        yield worker.env.timeout(0)
+
+    worker._relay_timeouts = fake_relay_timeouts
+    # Arrival order is not sequence order.
+    for sequence, height in [(7, 10), (3, 10), (9, 8), (1, 10), (4, 10),
+                             (6, 9), (2, 20), (5, 0)]:
+        worker._add_pending(_packet(sequence, height))
+    worker._add_pending(_packet(3, 10))  # a second sighting changes nothing
+    assert sorted(worker._timeouts) == [
+        (8, 9), (9, 6), (10, 1), (10, 3), (10, 4), (10, 7), (20, 2)
+    ]  # the zero-height packet 5 never enters the heap
+    worker.pending.pop(1)  # acknowledged before it came due
+    worker._in_flight.add(4)  # a recv relay of it is still running
+
+    worker.processes.spawn(worker._timeout_loop(), name="timeout")
+    tick = worker.config.confirm_poll_seconds * 2
+
+    def run_tick():
+        worker.env.run(until=worker.env.now + tick)
+
+    run_tick()  # destination height unknown (0): nothing is due
+    assert relayed == []
+    worker.heights["b"] = 10
+    run_tick()
+    assert relayed == [[3, 6, 7, 9]]
+    worker._in_flight.discard(4)
+    run_tick()
+    assert relayed[1:] == [[4, 6]]  # 4 left flight, 6 is retried
+    worker.heights["b"] = 30
+    run_tick()
+    assert relayed[2:] == [[2]]
+    run_tick()
+    assert relayed[3:] == []  # acked 1 and zero-height 5 are never relayed
+    assert sorted(worker.pending) == [5]
+    assert worker._timeouts == []

@@ -1,5 +1,7 @@
 """Tests for merkle trees, the provable store, and proofs."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from repro.tendermint.crypto import sha256
 from repro.tendermint.merkle import (
     EMPTY_HASH,
+    NonMembershipProof,
     ProvableStore,
     simple_hash_from_byte_slices,
     verify_membership,
@@ -216,3 +219,105 @@ def test_journal_commit_keeps_values():
     journal.commit()
     store.journal = None
     assert store.get(b"a") == b"2"
+
+
+# -- tree shape and position binding --------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.dictionaries(
+        st.binary(min_size=1, max_size=6),
+        st.binary(min_size=0, max_size=6),
+        min_size=0,
+        max_size=300,
+    )
+)
+def test_store_root_is_the_reference_tree(entries):
+    """Property: the level-array root is RFC 6962's split tree, every key proves."""
+    store = make_store(entries)
+    leaves = [k + b"=" + sha256(entries[k]) for k in sorted(entries)]
+    assert store.root == simple_hash_from_byte_slices(leaves)
+    for index, key in enumerate(sorted(entries)):
+        proof = store.prove(key)
+        assert (proof.leaf_index, proof.tree_size) == (index, len(entries))
+        assert verify_membership(store.root, proof, entries[key])
+
+
+def _tampered(proof, size):
+    """Every single-field corruption of ``proof`` that must not verify."""
+    if proof.siblings:
+        first = proof.siblings[0]
+        flipped = bytes([first[0] ^ 1]) + first[1:]
+        yield replace(proof, siblings=(flipped,) + proof.siblings[1:])
+        yield replace(proof, siblings=proof.siblings[:-1])
+    yield replace(proof, siblings=proof.siblings + (EMPTY_HASH,))
+    for index in range(-1, size + 1):
+        if index != proof.leaf_index:
+            yield replace(proof, leaf_index=index)
+    for tree_size in range(0, proof.leaf_index + 1):
+        yield replace(proof, tree_size=tree_size)
+    if proof.leaf_index == size - 1:
+        # The last leaf has no right sibling anywhere; any larger size
+        # gives it one and so changes its path.
+        for tree_size in range(size + 1, 2 * size + 2):
+            yield replace(proof, tree_size=tree_size)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17])
+def test_tampered_proofs_fail(size):
+    entries = {b"k%03d" % i: b"v%d" % i for i in range(size)}
+    store = make_store(entries)
+    for key, value in entries.items():
+        proof = store.prove(key)
+        for bad in _tampered(proof, size):
+            assert not verify_membership(store.root, bad, value), (key, bad)
+
+
+@pytest.mark.parametrize("size", range(1, 12))
+def test_verified_positions_are_bound(size):
+    """Whatever (leaf_index, tree_size) a proof verifies under, it keeps
+    its real edge status and its real neighbours.
+
+    The root does not commit to the tree size: leaf 0 of four leaves also
+    verifies as leaf 0 of three.  What it does bind is each step's side,
+    which is all absence proofs rely on.
+    """
+    keys = [b"k%02d" % i for i in range(size)]
+    store = make_store({k: b"v" for k in keys})
+    positions = {}
+    for true_index, key in enumerate(keys):
+        proof = store.prove(key)
+        for tree_size in range(1, 2 * size + 2):
+            for leaf_index in range(tree_size):
+                claim = replace(proof, leaf_index=leaf_index, tree_size=tree_size)
+                if claim.compute_root() != store.root:
+                    continue
+                assert (leaf_index == 0) == (true_index == 0)
+                assert (leaf_index == tree_size - 1) == (true_index == size - 1)
+                positions[(tree_size, leaf_index)] = true_index
+    for (tree_size, leaf_index), true_index in positions.items():
+        right = positions.get((tree_size, leaf_index + 1))
+        if right is not None:
+            assert right == true_index + 1
+
+
+def test_absence_proof_rejects_non_adjacent_neighbours():
+    """A present key cannot be "proven" absent by skipping over it."""
+    store = make_store({b"a": b"1", b"b": b"2", b"c": b"3"})
+    forged = NonMembershipProof(
+        key=b"b", left=store.prove(b"a"), right=store.prove(b"c")
+    )
+    assert not verify_non_membership(store.root, forged)
+
+
+def test_absence_proof_rejects_inner_leaf_as_edge():
+    store = make_store({b"a": b"1", b"b": b"2", b"c": b"3"})
+    past_end = NonMembershipProof(key=b"z", left=store.prove(b"b"), right=None)
+    before_start = NonMembershipProof(key=b"0", left=None, right=store.prove(b"b"))
+    assert not verify_non_membership(store.root, past_end)
+    assert not verify_non_membership(store.root, before_start)
+    # The honest edge proofs still verify.
+    assert verify_non_membership(store.root, store.prove_absence(b"z"))
+    assert verify_non_membership(store.root, store.prove_absence(b"0"))
+
