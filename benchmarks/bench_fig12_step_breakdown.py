@@ -6,23 +6,15 @@ data pull 110 s + recv data pull 207 s) consume ~69 % of the total — the
 serial-RPC bottleneck headline.
 """
 
+from dataclasses import replace
+
 from benchmarks.conftest import run_cached
 from repro.analysis import render_step_table
-from repro.framework import ExperimentConfig
-
-
-def fig12_config(seed: int = 5) -> ExperimentConfig:
-    return ExperimentConfig(
-        total_transfers=5000,
-        submission_blocks=1,
-        measurement_blocks=300,
-        run_to_completion=True,
-        seed=seed,
-    )
+from repro.scenarios import scenario
 
 
 def run_breakdown():
-    return run_cached(fig12_config())
+    return run_cached(replace(scenario("fig12", 5), measurement_blocks=300))
 
 
 def test_fig12_step_breakdown(benchmark):

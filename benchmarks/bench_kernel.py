@@ -6,13 +6,13 @@ repo root:
 * a **pure-kernel microbench** — timeout-ping processes driving only
   :class:`repro.sim.core.Environment`, no protocol stack — isolating the
   event-loop cost itself;
-* the **golden scenario** (the schedcheck/alloccheck workload) in
+* the **golden scenario** (``repro.scenarios``' ``golden``) in
   events/sec, with the speedup ratio against the pre-PR baseline pinned
   below; this ratio is the headline number for the Tier P lint fixes
   (``__slots__`` sweep, hot-loop lookup binding, merkle leaf/proof
   caches, closure-free journal, crypto/ICS-20 memoisation);
-* the **Fig. 12 workload** (5 000 transfers submitted in one block, run
-  to completion) in wall-clock seconds — the paper's heaviest single
+* the **Fig. 12 workload** (``repro.scenarios``' ``fig12``: 5 000
+  transfers submitted in one block, run to completion) in wall-clock seconds — the paper's heaviest single
   experiment.
 
 Timing methodology: every series runs in-process with warmup iterations
@@ -37,6 +37,7 @@ import statistics
 
 from repro.framework import ExperimentConfig, run_experiment
 from repro.parallel import hostclock
+from repro.scenarios import scenario
 from repro.sim.core import Environment
 
 ARTIFACT = os.path.join(
@@ -56,26 +57,6 @@ GOLDEN_WARMUP = 2
 GOLDEN_REPS = 9
 FIG12_WARMUP = 1
 FIG12_REPS = 3
-
-
-def golden_config(seed: int = 7) -> ExperimentConfig:
-    """The golden scenario — identical to schedcheck/alloccheck's."""
-    return ExperimentConfig(
-        input_rate=20,
-        measurement_blocks=4,
-        seed=seed,
-        drain_seconds=20.0,
-    )
-
-
-def fig12_config(seed: int = 1) -> ExperimentConfig:
-    """Fig. 12's 5 000-transfer single-block workload."""
-    return ExperimentConfig(
-        total_transfers=5000,
-        submission_blocks=1,
-        run_to_completion=True,
-        seed=seed,
-    )
 
 
 # -- pure-kernel microbench ------------------------------------------------------
@@ -125,9 +106,9 @@ def run_bench() -> dict:
     micro_events = micro_runs[0][0]
     micro_median = statistics.median(wall for _events, wall in micro_runs)
 
-    golden = golden_config()
+    golden = scenario("golden", 7)
     golden_walls, golden_report = _time_series(
-        lambda: run_experiment(golden_config()), GOLDEN_WARMUP, GOLDEN_REPS
+        lambda: run_experiment(scenario("golden", 7)), GOLDEN_WARMUP, GOLDEN_REPS
     )
     golden_median = statistics.median(golden_walls)
     golden_min = min(golden_walls)
@@ -135,7 +116,7 @@ def run_bench() -> dict:
     golden_events = run_events_count(golden)
 
     fig12_walls, fig12_report = _time_series(
-        lambda: run_experiment(fig12_config()), FIG12_WARMUP, FIG12_REPS
+        lambda: run_experiment(scenario("fig12", 1)), FIG12_WARMUP, FIG12_REPS
     )
     fig12_median = statistics.median(fig12_walls)
 
@@ -147,7 +128,7 @@ def run_bench() -> dict:
             "golden_report_sha256": hashlib.sha256(
                 golden_json.encode()
             ).hexdigest(),
-            "fig12_events": run_events_count(fig12_config()),
+            "fig12_events": run_events_count(scenario("fig12", 1)),
             "microbench_events": micro_events,
         },
         "timing": {

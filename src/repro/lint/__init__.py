@@ -41,8 +41,10 @@ tie-break and treats any artifact divergence as a scheduling race,
 :mod:`repro.lint.alloccheck` diffs per-event allocations against a
 pinned budget, and :mod:`repro.lint.stallcheck` monitors a run's wait
 graph, tears the testbed down, and reports deadlocks, livelocks, leaks
-and store-backlog regressions
-(``python -m repro lint --schedcheck|--alloccheck|--stallcheck <scenario>``).
+and store-backlog regressions.  All three run a named scenario from the
+one catalogue, :mod:`repro.scenarios`, through :mod:`repro.lint.harness`
+(``python -m repro lint --schedcheck|--alloccheck|--stallcheck <scenario>``,
+re-pin a budget with ``--write-budget``).
 
 Run the static tiers with ``python -m repro.lint [paths]`` (or
 ``python -m repro lint``).  Findings can be waived inline with

@@ -4,8 +4,9 @@ The static Tier P rules flag *patterns* that allocate per event; this
 module measures the real thing: run a scenario under :mod:`tracemalloc`
 and report how many traced allocations are still live at the end of the
 run, normalised per simulated event, with the top allocating call sites.
-The normalised figure is diffed against a pinned budget file
-(``ALLOC_BUDGET.json`` at the repo root) so an allocation regression —
+The normalised figure is diffed against the scenario's entry in a pinned
+budget file (``ALLOC_BUDGET.json`` at the repo root, read and pinned by
+:mod:`repro.lint.harness`) so an allocation regression —
 a dropped ``__slots__``, a new per-event closure, an unbounded cache on
 a hot path — fails tier-1 the same way a lint finding does.
 
@@ -34,22 +35,12 @@ recorded in the file); event counts and top sites are informational.
 from __future__ import annotations
 
 import gc
-import json
 import tracemalloc
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Optional
-
-#: Default budget file, pinned at the repo root (src-layout: this file is
-#: ``<root>/src/repro/lint/alloccheck.py``).
-DEFAULT_BUDGET_PATH = Path(__file__).resolve().parents[3] / "ALLOC_BUDGET.json"
+from typing import Optional
 
 #: How many call sites a report spells out.
 TOP_SITES = 10
-
-#: Relative headroom applied when *pinning* a budget, so identical code
-#: re-measured under slightly different GC/cache conditions stays clean.
-DEFAULT_TOLERANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -79,6 +70,8 @@ class AlloccheckResult:
     top_sites: list[AllocSite] = field(default_factory=list)
     #: Budget document the run was diffed against (None when pinning).
     budget: Optional[dict] = None
+    #: Allowed blocks/event: the pinned figure plus its tolerance.
+    limit: Optional[float] = None
     violations: list[str] = field(default_factory=list)
     wrote_budget_to: Optional[str] = None
 
@@ -97,10 +90,9 @@ class AlloccheckResult:
         if self.wrote_budget_to is not None:
             lines.append(f"  pinned budget to {self.wrote_budget_to}")
         elif self.clean:
-            budget_limit = _budget_limit(self.budget)
-            if budget_limit is not None:
+            if self.limit is not None:
                 lines.append(
-                    f"  OK — within budget ({budget_limit:.2f} blocks/event "
+                    f"  OK — within budget ({self.limit:.2f} blocks/event "
                     "allowed)"
                 )
             else:
@@ -111,23 +103,35 @@ class AlloccheckResult:
             lines.append(
                 "    a regression means per-event allocation grew past the "
                 "pinned budget (see DESIGN.md §6: how to read an alloccheck "
-                "report); re-pin with --write-alloc-budget only after "
+                "report); re-pin with --write-budget only after "
                 "auditing the growth"
             )
         lines.append("  top call sites by live blocks:")
         lines += [f"    {site}" for site in self.top_sites]
         return "\n".join(lines)
 
+    def budget_entry(self) -> dict:
+        """This run's pin in the budget file's ``scenarios`` map."""
+        return {
+            "seed": self.seed,
+            "events": self.events,
+            "blocks_per_event": round(self.blocks_per_event, 2),
+        }
 
-def _budget_limit(budget: Optional[dict]) -> Optional[float]:
-    if not budget:
-        return None
-    try:
-        return float(budget["blocks_per_event"]) * (
-            1.0 + float(budget.get("tolerance", DEFAULT_TOLERANCE))
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
+    def apply_budget(self, entry: dict, tolerance: float) -> None:
+        """Diff blocks/event against a pinned entry (plus ``tolerance``)."""
+        try:
+            pinned = float(entry["blocks_per_event"])
+        except (KeyError, TypeError, ValueError):
+            self.violations.append("budget entry has no usable blocks_per_event")
+            return
+        self.limit = pinned * (1.0 + tolerance)
+        if self.blocks_per_event > self.limit:
+            self.violations.append(
+                f"blocks/event {self.blocks_per_event:.2f} exceeds budget "
+                f"{pinned:.2f} (+{100 * tolerance:.0f}% tolerance = "
+                f"{self.limit:.2f})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +139,7 @@ def _budget_limit(budget: Optional[dict]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def measure(scenario: str, config, seed: int) -> AlloccheckResult:
+def measure(scenario: str, config) -> AlloccheckResult:
     """Run one experiment under tracemalloc and collect allocation stats."""
     from repro.framework.runner import _ExperimentEngine
 
@@ -174,7 +178,7 @@ def measure(scenario: str, config, seed: int) -> AlloccheckResult:
     ]
     return AlloccheckResult(
         scenario=scenario,
-        seed=seed,
+        seed=config.seed,
         events=events,
         total_blocks=total_blocks,
         total_kb=total_kb,
@@ -191,95 +195,3 @@ def _short_path(filename: str) -> str:
         if idx >= 0:
             return filename[idx + len(marker) :]
     return filename
-
-
-# ---------------------------------------------------------------------------
-# Budget diffing
-# ---------------------------------------------------------------------------
-
-
-def budget_document(result: AlloccheckResult) -> dict:
-    """The JSON document pinned by ``--write-alloc-budget``."""
-    return {
-        "scenario": result.scenario,
-        "seed": result.seed,
-        "events": result.events,
-        "blocks_per_event": round(result.blocks_per_event, 2),
-        "tolerance": DEFAULT_TOLERANCE,
-        "note": (
-            "Gate: measured blocks_per_event must stay within "
-            "blocks_per_event * (1 + tolerance).  Pinned by "
-            "`python -m repro lint --alloccheck <scenario> "
-            "--write-alloc-budget`; re-pin only after auditing growth."
-        ),
-    }
-
-
-def apply_budget(result: AlloccheckResult, budget: dict) -> None:
-    """Populate ``result.violations`` from a pinned budget document."""
-    result.budget = budget
-    scenario = budget.get("scenario")
-    if scenario is not None and scenario != result.scenario:
-        result.violations.append(
-            f"budget file pins scenario {scenario!r}, ran {result.scenario!r}"
-        )
-        return
-    limit = _budget_limit(budget)
-    if limit is None:
-        result.violations.append(
-            "budget file has no usable blocks_per_event entry"
-        )
-        return
-    if result.blocks_per_event > limit:
-        result.violations.append(
-            f"blocks/event {result.blocks_per_event:.2f} exceeds budget "
-            f"{float(budget['blocks_per_event']):.2f} "
-            f"(+{100 * float(budget.get('tolerance', DEFAULT_TOLERANCE)):.0f}% "
-            f"tolerance = {limit:.2f})"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Scenarios + entry point (mirrors repro.lint.schedcheck)
-# ---------------------------------------------------------------------------
-
-
-def _golden_config(seed: int):
-    from repro.framework import ExperimentConfig
-
-    return ExperimentConfig(
-        input_rate=20,
-        measurement_blocks=4,
-        seed=seed,
-        drain_seconds=20.0,
-    )
-
-
-#: Named scenarios for the CLI / tier-1 gate.  Each maps a name to a
-#: ``seed -> ExperimentConfig`` factory.
-SCENARIOS: dict[str, Callable] = {
-    "golden": _golden_config,
-}
-
-
-def check_scenario(
-    name: str,
-    seed: int = 7,
-    budget_path: Optional[str] = None,
-    write_budget: bool = False,
-) -> AlloccheckResult:
-    """Measure a named scenario and diff (or pin) its allocation budget."""
-    try:
-        factory = SCENARIOS[name]
-    except KeyError:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ValueError(f"unknown alloccheck scenario {name!r} (known: {known})")
-    result = measure(name, factory(seed), seed)
-    path = Path(budget_path) if budget_path is not None else DEFAULT_BUDGET_PATH
-    if write_budget:
-        path.write_text(json.dumps(budget_document(result), indent=2) + "\n")
-        result.wrote_budget_to = str(path)
-        return result
-    if path.exists():
-        apply_budget(result, json.loads(path.read_text()))
-    return result

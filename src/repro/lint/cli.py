@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.lint.config import LintConfig
 from repro.lint.driver import lint_paths
+from repro.lint.harness import BUDGET_FILES, CHECKS, run_check
 from repro.lint.program import PROGRAM_REGISTRY
 from repro.lint.reporters import REPORTERS
 from repro.lint.rules import REGISTRY
@@ -72,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the registered rules and exit",
     )
-    parser.add_argument(
+    dynamic = parser.add_mutually_exclusive_group()
+    dynamic.add_argument(
         "--schedcheck",
         metavar="SCENARIO",
         default=None,
@@ -82,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
             "instead of running the static rules"
         ),
     )
-    parser.add_argument(
+    dynamic.add_argument(
         "--alloccheck",
         metavar="SCENARIO",
         default=None,
@@ -92,24 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
             "against the pinned budget file (ALLOC_BUDGET.json)"
         ),
     )
-    parser.add_argument(
-        "--alloc-budget",
-        metavar="FILE",
-        default=None,
-        help=(
-            "budget file for --alloccheck (default: ALLOC_BUDGET.json "
-            "next to the repo root)"
-        ),
-    )
-    parser.add_argument(
-        "--write-alloc-budget",
-        action="store_true",
-        help=(
-            "re-pin the --alloccheck budget file from this run's "
-            "measurements instead of diffing against it"
-        ),
-    )
-    parser.add_argument(
+    dynamic.add_argument(
         "--stallcheck",
         metavar="SCENARIO",
         default=None,
@@ -121,20 +106,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--stall-budget",
+        "--budget",
         metavar="FILE",
         default=None,
         help=(
-            "budget file for --stallcheck (default: STALL_BUDGET.json "
-            "next to the repo root)"
+            "budget file for --alloccheck/--stallcheck (default: "
+            "ALLOC_BUDGET.json / STALL_BUDGET.json at the repo root)"
         ),
     )
     parser.add_argument(
-        "--write-stall-budget",
+        "--write-budget",
         action="store_true",
         help=(
-            "re-pin this scenario's entry in the --stallcheck budget file "
-            "from this run's high-water marks instead of diffing"
+            "re-pin this scenario's entry in the budget file from this "
+            "run's measurements instead of diffing against it"
         ),
     )
     parser.add_argument(
@@ -142,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=7,
         help=(
-            "experiment seed for --schedcheck/--alloccheck/--stallcheck "
-            "scenarios (default 7)"
+            "experiment seed for the dynamic-mode scenario (default 7); "
+            "scenarios are listed in repro.scenarios"
         ),
     )
     parser.add_argument(
@@ -174,6 +159,30 @@ def _parse_globs(
     return globs
 
 
+def _run_dynamic(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, check: str
+) -> int:
+    """Run one sanitizer on one catalogue scenario: 0 clean, 1 findings,
+    2 on a usage error or a crash of the run itself."""
+    from repro.scenarios import scenario
+
+    name = getattr(args, check)
+    if (args.budget is not None or args.write_budget) and check not in BUDGET_FILES:
+        parser.error(f"--{check} has no budget file")
+    try:
+        config = scenario(name, args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        result = run_check(check, name, config, args.budget, args.write_budget)
+    except Exception:
+        traceback.print_exc()
+        print(f"{check} crashed (not a finding)", file=sys.stderr)
+        return 2
+    print(result.summary())
+    return 0 if result.clean else 1
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -185,68 +194,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"{rule_id}  [whole-program] {rule.description}")
         return 0
 
-    if args.schedcheck is not None:
-        from repro.lint.schedcheck import SCENARIOS, check_scenario
-
-        if args.schedcheck not in SCENARIOS:
-            parser.error(
-                f"unknown schedcheck scenario {args.schedcheck!r} "
-                f"(known: {', '.join(sorted(SCENARIOS))})"
-            )
-        try:
-            result = check_scenario(args.schedcheck, seed=args.seed)
-        except Exception:
-            traceback.print_exc()
-            print("schedcheck crashed (not a divergence)", file=sys.stderr)
-            return 2
-        print(result.summary())
-        return 0 if result.clean else 1
-
-    if args.alloccheck is not None:
-        from repro.lint.alloccheck import SCENARIOS as ALLOC_SCENARIOS
-        from repro.lint.alloccheck import check_scenario as alloc_check
-
-        if args.alloccheck not in ALLOC_SCENARIOS:
-            parser.error(
-                f"unknown alloccheck scenario {args.alloccheck!r} "
-                f"(known: {', '.join(sorted(ALLOC_SCENARIOS))})"
-            )
-        try:
-            result = alloc_check(
-                args.alloccheck,
-                seed=args.seed,
-                budget_path=args.alloc_budget,
-                write_budget=args.write_alloc_budget,
-            )
-        except Exception:
-            traceback.print_exc()
-            print("alloccheck crashed (not a regression)", file=sys.stderr)
-            return 2
-        print(result.summary())
-        return 0 if result.clean else 1
-
-    if args.stallcheck is not None:
-        from repro.lint.stallcheck import SCENARIOS as STALL_SCENARIOS
-        from repro.lint.stallcheck import check_scenario as stall_check
-
-        if args.stallcheck not in STALL_SCENARIOS:
-            parser.error(
-                f"unknown stallcheck scenario {args.stallcheck!r} "
-                f"(known: {', '.join(sorted(STALL_SCENARIOS))})"
-            )
-        try:
-            result = stall_check(
-                args.stallcheck,
-                seed=args.seed,
-                budget_path=args.stall_budget,
-                write_budget=args.write_stall_budget,
-            )
-        except Exception:
-            traceback.print_exc()
-            print("stallcheck crashed (not a stall)", file=sys.stderr)
-            return 2
-        print(result.summary())
-        return 0 if result.clean else 1
+    check = next((c for c in CHECKS if getattr(args, c) is not None), None)
+    if check is not None:
+        return _run_dynamic(parser, args, check)
+    if args.budget is not None or args.write_budget:
+        parser.error("--budget/--write-budget need --alloccheck or --stallcheck")
 
     select = None
     if args.rules:

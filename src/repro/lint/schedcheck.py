@@ -31,6 +31,7 @@ an unordered container.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -194,153 +195,9 @@ def experiment_artifacts(config) -> RunArtifacts:
     return RunArtifacts(report=report_text, journal=report.journal or "")
 
 
-def _golden_config(tiebreak: str, seed: int):
-    from repro.framework import ExperimentConfig
-
-    return ExperimentConfig(
-        input_rate=20,
-        measurement_blocks=4,
-        seed=seed,
-        drain_seconds=20.0,
-        tiebreak=tiebreak,
+def check_experiment(scenario: str, config) -> SchedcheckResult:
+    """Run ``config`` under both tie-breaks and diff the artifacts."""
+    return check(
+        scenario,
+        lambda tb: experiment_artifacts(dataclasses.replace(config, tiebreak=tb)),
     )
-
-
-def _golden_faults_config(tiebreak: str, seed: int):
-    from repro.faults import (
-        FaultSchedule,
-        LinkDegradation,
-        NodeCrash,
-        RpcBrownout,
-        WsDisconnect,
-    )
-    from repro.framework import ExperimentConfig, FleetConfig
-
-    faults = FaultSchedule(
-        (
-            LinkDegradation(
-                "machine-0", "machine-1",
-                at=2.0, duration=15.0, latency=0.3, jitter=0.05, loss=0.05,
-            ),
-            RpcBrownout("machine-0", at=4.0, duration=10.0, drop_probability=0.3),
-            NodeCrash("machine-1", at=6.0, duration=12.0),
-            WsDisconnect("machine-0", at=18.0),
-        )
-    )
-    return ExperimentConfig(
-        input_rate=10,
-        measurement_blocks=3,
-        seed=seed,
-        drain_seconds=30.0,
-        relayer=FleetConfig(rpc_retry_attempts=3),
-        clear_interval=2,
-        faults=faults,
-        tiebreak=tiebreak,
-    )
-
-
-def _line3_config(tiebreak: str, seed: int):
-    from repro.framework import ExperimentConfig, TopologySpec
-
-    return ExperimentConfig(
-        input_rate=5,
-        measurement_blocks=3,
-        seed=seed,
-        drain_seconds=45.0,
-        topology=TopologySpec.line(3),
-        tracing=True,
-        tiebreak=tiebreak,
-    )
-
-
-def _hub4_config(tiebreak: str, seed: int):
-    from repro.framework import ExperimentConfig, TopologySpec
-
-    return ExperimentConfig(
-        input_rate=5,
-        measurement_blocks=3,
-        seed=seed,
-        drain_seconds=45.0,
-        topology=TopologySpec.hub_and_spoke(4),
-        tracing=True,
-        tiebreak=tiebreak,
-    )
-
-
-def _fleet_config(tiebreak: str, seed: int):
-    """Leader-policy fleet with a mid-run leader crash and failover.
-
-    Two relayers on one edge under the ``leader`` policy; machine-0 (the
-    leader's host) crashes after the fixed-total workload has finished
-    submitting, so member 1 takes over, clears the pending packets, and
-    leadership fails back once machine-0 recovers.  ``run_to_completion``
-    makes the 100 %-delivery property part of the diffed artifact.
-    """
-    from repro.faults import FaultSchedule, NodeCrash
-    from repro.framework import ExperimentConfig, FleetConfig
-
-    return ExperimentConfig(
-        input_rate=10,
-        measurement_blocks=3,
-        num_relayers=2,
-        total_transfers=40,
-        submission_blocks=1,
-        seed=seed,
-        run_to_completion=True,
-        clear_interval=2,
-        relayer=FleetConfig(policy="leader", rpc_retry_attempts=3),
-        faults=FaultSchedule(
-            (NodeCrash("machine-0", at=8.0, duration=30.0),)
-        ),
-        tiebreak=tiebreak,
-    )
-
-
-def _skewed_config(tiebreak: str, seed: int):
-    """Engine-mode workload: Zipf senders, bursty arrivals, adversaries.
-
-    Every draw in the workload engine is keyed by arrival index rather
-    than pulled from a shared sequential stream, so the Zipf sender
-    choices, MMPP phase flips, payload sizes and spam/griefing tick
-    times must all survive a tie-break reversal byte-for-byte.  This is
-    the scenario that would catch a sequential-RNG regression in
-    ``repro.workload``.
-    """
-    from repro.framework import ExperimentConfig, WorkloadSpec
-
-    return ExperimentConfig(
-        input_rate=20,
-        measurement_blocks=3,
-        seed=seed,
-        drain_seconds=20.0,
-        workload=WorkloadSpec(
-            population=200,
-            zipf_s=1.2,
-            arrival="bursty",
-            spam_rate=0.3,
-            griefing_rate=0.1,
-        ),
-        tiebreak=tiebreak,
-    )
-
-
-#: Named scenarios for the CLI / pytest marker.  Each maps a name to a
-#: ``(tiebreak, seed) -> ExperimentConfig`` factory.
-SCENARIOS: dict[str, Callable] = {
-    "golden": _golden_config,
-    "golden-faults": _golden_faults_config,
-    "fleet": _fleet_config,
-    "line3": _line3_config,
-    "hub4": _hub4_config,
-    "skewed": _skewed_config,
-}
-
-
-def check_scenario(name: str, seed: int = 7) -> SchedcheckResult:
-    """Run a named scenario under both tie-breaks and diff the artifacts."""
-    try:
-        factory = SCENARIOS[name]
-    except KeyError:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ValueError(f"unknown schedcheck scenario {name!r} (known: {known})")
-    return check(name, lambda tb: experiment_artifacts(factory(tb, seed)))

@@ -23,9 +23,10 @@ checks that nothing survived:
   groups with live members, and WebSocket subscriptions still
   registered on any node.
 * **backlog** — the high-water mark of every store (by creation site)
-  is diffed against the pinned budget file (``STALL_BUDGET.json`` at
-  the repo root), so an unbounded queue growth regression fails tier-1
-  the same way a lint finding does.
+  is diffed against the scenario's entry in the pinned budget file
+  (``STALL_BUDGET.json`` at the repo root, read and pinned by
+  :mod:`repro.lint.harness`), so an unbounded queue growth regression
+  fails tier-1 the same way a lint finding does.
 
 The teardown path is *only* exercised here: the normal experiment
 runner never calls ``engine.shutdown()``, keeping its event accounting
@@ -34,22 +35,15 @@ byte-identical to the pinned golden run.
 
 from __future__ import annotations
 
-import json
 import sys
 import weakref
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 from repro.lint.alloccheck import _short_path
 
-#: Default budget file, pinned at the repo root (src-layout: this file is
-#: ``<root>/src/repro/lint/stallcheck.py``).
-DEFAULT_BUDGET_PATH = Path(__file__).resolve().parents[3] / "STALL_BUDGET.json"
-
-#: Relative headroom applied when diffing high-water marks, plus a small
-#: absolute slack so tiny pinned values (1-2 items) don't false-fail.
-DEFAULT_TOLERANCE = 0.25
+#: Absolute slack added to the budget's relative tolerance when diffing
+#: high-water marks, so tiny pinned values (1-2 items) don't false-fail.
 ABSOLUTE_SLACK = 2
 
 #: Stores whose creation site is *not* in the budget fail only past this
@@ -57,7 +51,7 @@ ABSOLUTE_SLACK = 2
 UNBUDGETED_FLOOR = 256
 
 #: Default number of same-instant events treated as a livelock.  The
-#: busiest pinned scenario (hub4) peaks well under 2k events at one
+#: busiest pinned scenario (fig12) peaks well under 2k events at one
 #: instant; a zero-delay loop blows past any finite threshold.
 DEFAULT_LIVELOCK_THRESHOLD = 10_000
 
@@ -309,110 +303,62 @@ class StallcheckResult:
                 lines += [f"    {w}" for w in self.wait_lines]
             lines.append(
                 "    see DESIGN.md §6 (how to read a stallcheck report); "
-                "re-pin high-water budgets with --write-stall-budget only "
+                "re-pin high-water budgets with --write-budget only "
                 "after auditing the growth"
             )
         return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# Budget diffing
-# ---------------------------------------------------------------------------
-
-
-def budget_document(
-    result: StallcheckResult, existing: Optional[dict] = None
-) -> dict:
-    """Merge this run's scenario into the (single) pinned budget file."""
-    document = dict(existing) if existing else {}
-    document.setdefault("tolerance", DEFAULT_TOLERANCE)
-    document.setdefault(
-        "note",
-        (
-            "Gate: each store's measured high-water mark must stay within "
-            "pinned * (1 + tolerance) + 2; unpinned sites within "
-            f"{UNBUDGETED_FLOOR}.  Pinned by `python -m repro lint "
-            "--stallcheck <scenario> --write-stall-budget`; re-pin only "
-            "after auditing the growth."
-        ),
-    )
-    scenarios = dict(document.get("scenarios", {}))
-    scenarios[result.scenario] = {
-        "seed": result.seed,
-        "events": result.events,
-        "high_water": dict(sorted(result.high_water.items())),
-    }
-    document["scenarios"] = {k: scenarios[k] for k in sorted(scenarios)}
-    return document
-
-
-def apply_budget(result: StallcheckResult, budget: dict) -> None:
-    """Diff the run's high-water marks against the pinned budget."""
-    result.budget = budget
-    tolerance = float(budget.get("tolerance", DEFAULT_TOLERANCE))
-    pinned = budget.get("scenarios", {}).get(result.scenario, {})
-    pinned_marks = pinned.get("high_water", {})
-    for site, depth in sorted(result.high_water.items()):
-        if site in pinned_marks:
-            limit = int(pinned_marks[site] * (1.0 + tolerance)) + ABSOLUTE_SLACK
-            if depth > limit:
-                result.violations.append(
-                    f"store backlog regression at {site}: high-water {depth} "
-                    f"exceeds pinned {pinned_marks[site]} "
-                    f"(+{100 * tolerance:.0f}% +{ABSOLUTE_SLACK} = {limit})"
-                )
-        elif depth > UNBUDGETED_FLOOR:
-            result.violations.append(
-                f"unbudgeted store at {site} reached high-water {depth} "
-                f"(> floor {UNBUDGETED_FLOOR}); pin it with "
-                "--write-stall-budget after auditing"
-            )
-
-
-# ---------------------------------------------------------------------------
-# Scenarios + entry points (mirrors repro.lint.alloccheck)
-# ---------------------------------------------------------------------------
-
-#: Named scenarios for the CLI / tier-1 gate; the configs are shared with
-#: schedcheck (run under the default fifo tie-break).
-SCENARIOS: dict[str, Callable] = {}
-
-
-def _register_scenarios() -> None:
-    from repro.lint import schedcheck
-
-    SCENARIOS.update(
-        {
-            name: (lambda factory: lambda seed: factory("fifo", seed))(factory)
-            for name, factory in schedcheck.SCENARIOS.items()
+    def budget_entry(self) -> dict:
+        """This run's pin in the budget file's ``scenarios`` map."""
+        return {
+            "seed": self.seed,
+            "events": self.events,
+            "high_water": dict(sorted(self.high_water.items())),
         }
-    )
+
+    def apply_budget(self, entry: dict, tolerance: float) -> None:
+        """Diff the run's high-water marks against a pinned entry."""
+        pinned_marks = entry.get("high_water", {})
+        for site in sorted(set(pinned_marks) - set(self.high_water)):
+            self.violations.append(
+                f"pinned store site {site} was never observed in this run "
+                "(the code moved or the store is gone); re-pin with "
+                "--write-budget after auditing"
+            )
+        for site, depth in sorted(self.high_water.items()):
+            if site in pinned_marks:
+                limit = int(pinned_marks[site] * (1.0 + tolerance)) + ABSOLUTE_SLACK
+                if depth > limit:
+                    self.violations.append(
+                        f"store backlog regression at {site}: high-water "
+                        f"{depth} exceeds pinned {pinned_marks[site]} "
+                        f"(+{100 * tolerance:.0f}% +{ABSOLUTE_SLACK} = {limit})"
+                    )
+            elif depth > UNBUDGETED_FLOOR:
+                self.violations.append(
+                    f"unbudgeted store at {site} reached high-water {depth} "
+                    f"(> floor {UNBUDGETED_FLOOR}); pin it with "
+                    "--write-budget after auditing"
+                )
 
 
-_register_scenarios()
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+
+_DEADLOCK = "deadlock: event heap drained with {} process(es) still waiting"
 
 
-def check_scenario(
-    name: str,
-    seed: int = 7,
-    budget_path: Optional[str] = None,
-    write_budget: bool = False,
-) -> StallcheckResult:
-    """Run a named scenario monitored, tear it down, report every stall."""
+def monitor_experiment(scenario: str, config) -> StallcheckResult:
+    """Run ``config`` monitored, tear it down, report every stall."""
     from repro.errors import SimulationError
     from repro.framework.runner import _ExperimentEngine
 
-    try:
-        factory = SCENARIOS[name]
-    except KeyError:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ValueError(f"unknown stallcheck scenario {name!r} (known: {known})")
-
     monitor = StallMonitor()
-    result = StallcheckResult(scenario=name, seed=seed)
+    result = StallcheckResult(scenario=scenario, seed=config.seed)
+    stuck = None
     with monitor.activate():
-        engine = _ExperimentEngine(factory(seed))
-        env = engine.testbed.env
+        engine = _ExperimentEngine(config)
         try:
             engine.run()
         except StallError as exc:
@@ -420,36 +366,39 @@ def check_scenario(
         except SimulationError:
             # The heap drained under the orchestrator: a deadlock.
             result.violations.append(
-                f"deadlock: event heap drained with "
-                f"{len(monitor.live_processes())} process(es) still waiting"
+                _DEADLOCK.format(len(monitor.live_processes()))
             )
             result.wait_lines = monitor.wait_graph()
         else:
             engine.shutdown()
-            stuck = monitor.live_processes()
-            if stuck:
-                result.violations.append(
-                    f"teardown left {len(stuck)} process(es) alive "
-                    "(shutdown interrupt did not reach them)"
-                )
-                result.wait_lines = monitor.wait_graph()
-            result.violations += monitor.residue()
             result.violations += _subscription_residue(engine.testbed)
-        result.events = env.events_processed
-        result.live = len(monitor.live_processes())
-        result.same_instant_max = monitor.same_instant_max
-        result.high_water = dict(monitor.high_water)
-
-    path = Path(budget_path) if budget_path is not None else DEFAULT_BUDGET_PATH
-    if write_budget:
-        existing = json.loads(path.read_text()) if path.exists() else None
-        document = budget_document(result, existing)
-        path.write_text(json.dumps(document, indent=2) + "\n")
-        result.wrote_budget_to = str(path)
-        return result
-    if path.exists():
-        apply_budget(result, json.loads(path.read_text()))
+            stuck = (
+                "teardown left {} process(es) alive "
+                "(shutdown interrupt did not reach them)"
+            )
+        _collect(monitor, result, engine.testbed.env, stuck)
     return result
+
+
+def _collect(
+    monitor: StallMonitor, result: StallcheckResult, env, stuck: Optional[str]
+) -> None:
+    """Post-run collection shared by scenario and toy runs.
+
+    ``stuck`` formats the count of processes still alive; it is None when
+    the run already failed, since live processes and residue then only
+    echo that failure.
+    """
+    if stuck is not None:
+        live = monitor.live_processes()
+        if live:
+            result.violations.append(stuck.format(len(live)))
+            result.wait_lines = monitor.wait_graph()
+        result.violations += monitor.residue()
+    result.events = env.events_processed
+    result.live = len(monitor.live_processes())
+    result.same_instant_max = monitor.same_instant_max
+    result.high_water = dict(monitor.high_water)
 
 
 def _subscription_residue(testbed) -> list[str]:
@@ -481,6 +430,7 @@ def check_toy(
 
     monitor = StallMonitor(livelock_threshold=livelock_threshold)
     result = StallcheckResult(scenario=name, seed=0)
+    stuck = None
     with monitor.activate():
         env = Environment()
         build(env)
@@ -489,16 +439,6 @@ def check_toy(
         except StallError as exc:
             result.violations.append(str(exc))
         else:
-            stuck = monitor.live_processes()
-            if stuck:
-                result.violations.append(
-                    f"deadlock: event heap drained with {len(stuck)} "
-                    "process(es) still waiting"
-                )
-                result.wait_lines = monitor.wait_graph()
-            result.violations += monitor.residue()
-        result.events = env.events_processed
-        result.live = len(monitor.live_processes())
-        result.same_instant_max = monitor.same_instant_max
-        result.high_water = dict(monitor.high_water)
+            stuck = _DEADLOCK
+        _collect(monitor, result, env, stuck)
     return result

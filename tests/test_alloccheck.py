@@ -12,15 +12,18 @@ from pathlib import Path
 import pytest
 
 from repro.lint.alloccheck import (
-    DEFAULT_BUDGET_PATH,
-    SCENARIOS,
     AlloccheckResult,
     AllocSite,
-    apply_budget,
-    budget_document,
-    check_scenario,
     measure,
 )
+from repro.lint.cli import main as lint_cli
+from repro.lint.harness import (
+    BUDGET_FILES,
+    diff_budget,
+    pin_budget,
+    run_check,
+)
+from repro.scenarios import scenario
 
 REPO_ROOT = Path(__file__).parent.parent
 
@@ -43,18 +46,20 @@ def _result(blocks_per_event: float = 10.0) -> AlloccheckResult:
 # ----------------------------------------------------------------------
 
 
+def _budget(entry: dict, name: str = "golden") -> dict:
+    return {"tolerance": 0.25, "scenarios": {name: entry}}
+
+
 def test_within_budget_is_clean():
     result = _result(10.0)
-    apply_budget(result, {"scenario": "golden", "blocks_per_event": 9.0,
-                          "tolerance": 0.25})
+    diff_budget(result, _budget({"blocks_per_event": 9.0}))
     assert result.clean
     assert "OK" in result.summary()
 
 
 def test_over_budget_is_a_violation():
     result = _result(12.0)
-    apply_budget(result, {"scenario": "golden", "blocks_per_event": 9.0,
-                          "tolerance": 0.25})
+    diff_budget(result, _budget({"blocks_per_event": 9.0}))
     assert not result.clean
     assert "REGRESSION" in result.summary()
     assert "exceeds budget" in result.violations[0]
@@ -63,35 +68,39 @@ def test_over_budget_is_a_violation():
 def test_budget_boundary_is_inclusive():
     """Exactly at budget * (1 + tolerance) still passes."""
     result = _result(11.25)
-    apply_budget(result, {"scenario": "golden", "blocks_per_event": 9.0,
-                          "tolerance": 0.25})
+    diff_budget(result, _budget({"blocks_per_event": 9.0}))
     assert result.clean
 
 
 def test_scenario_mismatch_is_a_violation():
+    """A budget file that pins only other scenarios gates nothing here."""
     result = _result(1.0)
-    apply_budget(result, {"scenario": "other", "blocks_per_event": 9.0})
+    diff_budget(result, _budget({"blocks_per_event": 9.0}, name="other"))
     assert not result.clean
-    assert "pins scenario" in result.violations[0]
+    assert "no entry for scenario 'golden'" in result.violations[0]
 
 
 def test_unusable_budget_is_a_violation():
     result = _result(1.0)
-    apply_budget(result, {"scenario": "golden"})
+    diff_budget(result, _budget({"seed": 7}))
     assert not result.clean
     assert "no usable blocks_per_event" in result.violations[0]
 
 
-def test_budget_document_roundtrip():
-    doc = budget_document(_result(10.0))
+def test_budget_document_roundtrip(tmp_path):
+    path = tmp_path / "budget.json"
+    pin_budget(path, _result(10.0))
     fresh = _result(10.0)
-    apply_budget(fresh, doc)
+    diff_budget(fresh, json.loads(path.read_text()))
     assert fresh.clean
 
 
-def test_unknown_scenario_raises():
-    with pytest.raises(ValueError, match="unknown alloccheck scenario"):
-        check_scenario("no-such-scenario")
+def test_unknown_scenario_raises(capsys):
+    """The CLI resolves names through the one catalogue lookup."""
+    with pytest.raises(SystemExit) as exit_info:
+        lint_cli(["--alloccheck", "no-such-scenario"])
+    assert exit_info.value.code == 2
+    assert "unknown scenario 'no-such-scenario'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -100,23 +109,23 @@ def test_unknown_scenario_raises():
 
 
 def test_default_budget_path_is_repo_root():
-    assert DEFAULT_BUDGET_PATH == REPO_ROOT / "ALLOC_BUDGET.json"
-    assert DEFAULT_BUDGET_PATH.is_file(), (
+    assert BUDGET_FILES["alloccheck"] == REPO_ROOT / "ALLOC_BUDGET.json"
+    assert BUDGET_FILES["alloccheck"].is_file(), (
         "ALLOC_BUDGET.json must be committed; re-pin with "
-        "`python -m repro lint --alloccheck golden --write-alloc-budget`"
+        "`python -m repro lint --alloccheck golden --write-budget`"
     )
 
 
 def test_write_budget_pins_a_diffable_file(tmp_path):
     path = tmp_path / "budget.json"
-    pinned = check_scenario("golden", budget_path=str(path), write_budget=True)
+    config = scenario("golden", 7)
+    pinned = run_check("alloccheck", "golden", config, str(path), True)
     assert pinned.wrote_budget_to == str(path)
     assert "pinned budget" in pinned.summary()
-    document = json.loads(path.read_text())
-    assert document["scenario"] == "golden"
-    assert document["blocks_per_event"] == round(pinned.blocks_per_event, 2)
+    entry = json.loads(path.read_text())["scenarios"]["golden"]
+    assert entry["blocks_per_event"] == round(pinned.blocks_per_event, 2)
 
-    checked = check_scenario("golden", budget_path=str(path))
+    checked = run_check("alloccheck", "golden", config, str(path))
     assert checked.clean, checked.summary()
 
 
@@ -127,7 +136,7 @@ def test_alloccheck_gate_golden():
     per-event state), audit the top call sites in the failure summary,
     then re-pin the budget.
     """
-    result = check_scenario("golden")
+    result = run_check("alloccheck", "golden", scenario("golden", 7))
     assert result.budget is not None, "committed ALLOC_BUDGET.json not loaded"
     assert result.clean, result.summary()
     # The golden scenario's event count is pinned (alloccheck shares it
@@ -136,8 +145,7 @@ def test_alloccheck_gate_golden():
 
 
 def test_measure_reports_sites_and_normalises():
-    config = SCENARIOS["golden"](7)
-    result = measure("golden", config, 7)
+    result = measure("golden", scenario("golden", 7))
     assert result.events == 2013
     assert result.total_blocks > 0
     assert result.blocks_per_event == result.total_blocks / result.events

@@ -14,11 +14,11 @@ import json
 from pathlib import Path
 
 from repro.framework import run_experiment
+from repro.scenarios import scenario
 
 from benchmarks.bench_kernel import (
     ARTIFACT,
     MICRO_PROCESSES,
-    golden_config,
     run_events_count,
     run_kernel_microbench,
 )
@@ -42,20 +42,21 @@ def test_artifact_lives_at_repo_root():
 def test_golden_accounting_is_byte_stable():
     """Two same-seed golden runs serialise to identical bytes, and those
     bytes hash to the figure pinned in the committed artifact."""
-    first = run_experiment(golden_config()).to_json()
-    second = run_experiment(golden_config()).to_json()
+    first = run_experiment(scenario("golden", 7)).to_json()
+    second = run_experiment(scenario("golden", 7)).to_json()
     assert first == second
 
     accounting = _artifact()["accounting"]
     digest = hashlib.sha256(first.encode()).hexdigest()
     assert accounting["golden_report_sha256"] == digest
-    assert accounting["golden_events"] == run_events_count(golden_config())
+    assert accounting["golden_events"] == run_events_count(scenario("golden", 7))
 
 
 def test_event_counts_match_committed_artifact():
     accounting = _artifact()["accounting"]
     assert accounting["golden_events"] == 2013
     assert accounting["fig12_events"] == 12137
+    assert run_events_count(scenario("fig12", 1)) == accounting["fig12_events"]
 
     events, _wall = run_kernel_microbench()
     assert events == accounting["microbench_events"]

@@ -8,66 +8,18 @@ stack starts consuming wall clocks, unmanaged RNGs or hash order, this
 test fails.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.faults import (
-    FaultSchedule,
-    LinkDegradation,
-    NodeCrash,
-    RpcBrownout,
-    WsDisconnect,
-)
-from repro.framework import (
-    ExperimentConfig,
-    ExperimentReport,
-    FleetConfig,
-    run_experiment,
-)
-
-#: Exercises every fault kind inside the measurement window, against both
-#: testbed machines; see :data:`run_fault_scenario`.
-FAULTS = FaultSchedule(
-    (
-        LinkDegradation(
-            "machine-0",
-            "machine-1",
-            at=2.0,
-            duration=15.0,
-            latency=0.3,
-            jitter=0.05,
-            loss=0.05,
-        ),
-        RpcBrownout("machine-0", at=4.0, duration=10.0, drop_probability=0.3),
-        NodeCrash("machine-1", at=6.0, duration=12.0),
-        WsDisconnect("machine-0", at=18.0),
-    )
-)
+from repro.framework import ExperimentReport, run_experiment
+from repro.scenarios import scenario
 
 
-def run_scenario(seed):
-    """One small two-chain transfer experiment; returns (report_json, journal)."""
-    config = ExperimentConfig(
-        input_rate=20,
-        measurement_blocks=4,
-        seed=seed,
-        drain_seconds=20.0,
-    )
-    report = run_experiment(config, capture_journal=True)
-    return report.to_json(), report.journal
-
-
-def run_fault_scenario(seed):
-    """The same scenario with a full fault schedule and recovery enabled."""
-    config = ExperimentConfig(
-        input_rate=10,
-        measurement_blocks=3,
-        seed=seed,
-        drain_seconds=30.0,
-        relayer=FleetConfig(rpc_retry_attempts=3),
-        clear_interval=2,
-        faults=FAULTS,
-    )
-    report = run_experiment(config, capture_journal=True)
+def run_scenario(seed, name="golden"):
+    """One catalogue scenario with journals captured; returns
+    (report_json, journal)."""
+    report = run_experiment(scenario(name, seed), capture_journal=True)
     return report.to_json(), report.journal
 
 
@@ -118,8 +70,8 @@ def test_golden_report_wire_round_trip(golden_runs):
 
 @pytest.fixture(scope="module")
 def golden_fault_runs():
-    first = run_fault_scenario(seed=21)
-    second = run_fault_scenario(seed=21)
+    first = run_scenario(21, "golden-faults")
+    second = run_scenario(21, "golden-faults")
     return first, second
 
 
@@ -145,20 +97,13 @@ def test_fault_scenario_really_faulted(golden_fault_runs):
 # -- With lifecycle tracing enabled -----------------------------------------
 
 
-def run_traced_scenario(seed, *, tiebreak="fifo", faults=None):
-    """The golden scenario with the tracer threaded through the stack."""
-    config = ExperimentConfig(
-        input_rate=20 if faults is None else 10,
-        measurement_blocks=4 if faults is None else 3,
-        seed=seed,
-        drain_seconds=20.0 if faults is None else 30.0,
-        relayer=FleetConfig(rpc_retry_attempts=0 if faults is None else 3),
-        clear_interval=0 if faults is None else 2,
-        faults=faults,
-        tracing=True,
-        tiebreak=tiebreak,
-    )
-    return run_experiment(config).to_json()
+def run_traced_scenario(seed, *, tiebreak="fifo", faults=False):
+    """The golden (or golden-faults) scenario with the tracer threaded
+    through the stack."""
+    config = scenario("golden-faults" if faults else "golden", seed)
+    return run_experiment(
+        replace(config, tracing=True, tiebreak=tiebreak)
+    ).to_json()
 
 
 def _masked(report_json, *config_keys, drop_trace=False):
@@ -200,8 +145,8 @@ def test_traced_fault_scenario_same_seed_identical():
     """Tracing and the full fault schedule together stay byte-stable:
     crash/brownout/disconnect recovery paths emit their spans in the
     same order every run."""
-    json1 = run_traced_scenario(seed=21, faults=FAULTS)
-    json2 = run_traced_scenario(seed=21, faults=FAULTS)
+    json1 = run_traced_scenario(seed=21, faults=True)
+    json2 = run_traced_scenario(seed=21, faults=True)
     assert json1.encode() == json2.encode()
     import json
 
@@ -235,13 +180,7 @@ def test_traced_run_identical_across_worker_counts():
     from repro.parallel import run_points
 
     configs = [
-        ExperimentConfig(
-            input_rate=20,
-            measurement_blocks=3,
-            seed=seed,
-            drain_seconds=20.0,
-            tracing=True,
-        )
+        replace(scenario("golden", seed), measurement_blocks=3, tracing=True)
         for seed in (31, 32)
     ]
     serial = run_points(configs, workers=1)
@@ -254,36 +193,16 @@ def test_traced_run_identical_across_worker_counts():
 # -- Multi-chain topologies --------------------------------------------------
 
 
-def run_topology_scenario(topology, seed):
-    """A small traced run on ``topology``; returns (report_json, journal)."""
-    config = ExperimentConfig(
-        input_rate=5,
-        measurement_blocks=3,
-        seed=seed,
-        drain_seconds=45.0,
-        topology=topology,
-        tracing=True,
-    )
-    report = run_experiment(config, capture_journal=True)
-    return report.to_json(), report.journal
-
-
 @pytest.fixture(scope="module")
 def line3_runs():
-    from repro.framework import TopologySpec
-
-    first = run_topology_scenario(TopologySpec.line(3), seed=11)
-    second = run_topology_scenario(TopologySpec.line(3), seed=11)
-    return first, second
+    """The catalogue's traced 3-chain line, twice at one seed."""
+    return run_scenario(11, "line3"), run_scenario(11, "line3")
 
 
 @pytest.fixture(scope="module")
 def hub4_runs():
-    from repro.framework import TopologySpec
-
-    first = run_topology_scenario(TopologySpec.hub_and_spoke(4), seed=11)
-    second = run_topology_scenario(TopologySpec.hub_and_spoke(4), seed=11)
-    return first, second
+    """The catalogue's traced 4-spoke hub, twice at one seed."""
+    return run_scenario(11, "hub4"), run_scenario(11, "hub4")
 
 
 def test_line3_same_seed_identical(line3_runs):

@@ -594,6 +594,14 @@ def test_cli_rejects_unknown_stallcheck_scenario(capsys):
     capsys.readouterr()
 
 
+def test_cli_budget_flags_need_a_budgeted_check(capsys):
+    for argv in (["--write-budget"], ["--schedcheck", "golden", "--budget", "x"]):
+        with pytest.raises(SystemExit) as exit_info:
+            lint_cli(argv)
+        assert exit_info.value.code == 2
+    capsys.readouterr()
+
+
 def test_cli_accepts_program_rule_selection(capsys):
     code = lint_cli([str(FIXTURES / "r003_pkg"), "--rules", "R003"])
     out = capsys.readouterr().out

@@ -14,15 +14,16 @@ import zlib
 
 import pytest
 
+from repro.lint.cli import main as lint_cli
+from repro.lint.harness import run_check
 from repro.lint.schedcheck import (
-    SCENARIOS,
     Divergence,
     RunArtifacts,
     SchedcheckResult,
     check,
-    check_scenario,
     compare_runs,
 )
+from repro.scenarios import SCENARIOS, scenario
 from repro.sim import Environment, RngRegistry
 
 
@@ -130,49 +131,41 @@ def test_summary_points_at_the_design_walkthrough():
     assert "DESIGN.md" in result.summary()
 
 
-def test_unknown_scenario_raises():
-    with pytest.raises(ValueError, match="unknown schedcheck scenario"):
-        check_scenario("nope")
+def test_unknown_scenario_raises(capsys):
+    """The CLI resolves names through the one catalogue lookup."""
+    with pytest.raises(SystemExit) as exit_info:
+        lint_cli(["--schedcheck", "nope"])
+    assert exit_info.value.code == 2
+    assert "unknown scenario 'nope' (known: " in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
-# Experiment-backed golden scenarios (the acceptance gate)
+# Every catalogue scenario (the acceptance gate)
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.schedcheck
-def test_golden_scenario_has_no_scheduling_race():
-    result = check_scenario("golden", seed=7)
-    assert result.clean, result.summary()
+#: fig12 at seed 7 (and 3; seeds 1 and 2 are clean) shows a real race:
+#: two RPC requests reach one node's serial RPC resource at the same
+#: instant, and the tie-break decides which is served first, so one
+#: relayer ``recv_confirmation`` lands 5 ms later.  Strict, so the marker
+#: must go when the race is fixed.
+_FIG12_RACE = pytest.mark.xfail(
+    strict=True,
+    reason="same-instant RPC requests race for a node's serial RPC slot",
+)
 
 
 @pytest.mark.schedcheck
-def test_golden_faults_scenario_has_no_scheduling_race():
-    result = check_scenario("golden-faults", seed=7)
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=_FIG12_RACE) if name == "fig12" else name
+        for name in sorted(SCENARIOS)
+    ],
+)
+def test_scenario_has_no_scheduling_race(name):
+    """Faults, fleets, multi-hop topologies and the workload engine's
+    Zipf senders, bursty arrivals and adversarial traffic must not let
+    heap tie order leak into state."""
+    result = run_check("schedcheck", name, scenario(name, 7))
     assert result.clean, result.summary()
-
-
-@pytest.mark.schedcheck
-def test_line3_scenario_has_no_scheduling_race():
-    result = check_scenario("line3", seed=7)
-    assert result.clean, result.summary()
-
-
-@pytest.mark.schedcheck
-def test_hub4_scenario_has_no_scheduling_race():
-    result = check_scenario("hub4", seed=7)
-    assert result.clean, result.summary()
-
-
-@pytest.mark.schedcheck
-def test_skewed_scenario_has_no_scheduling_race():
-    """The workload-engine scenario: Zipf senders, bursty arrivals and
-    adversarial traffic must not let heap tie order leak into state."""
-    result = check_scenario("skewed", seed=7)
-    assert result.clean, result.summary()
-
-
-def test_scenario_registry_names():
-    assert set(SCENARIOS) == {
-        "golden", "golden-faults", "fleet", "line3", "hub4", "skewed"
-    }

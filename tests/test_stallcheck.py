@@ -1,8 +1,8 @@
 """Liveness sanitizer: toy detections plus the tier-1 budget gate.
 
-``test_stallcheck_gate_golden`` is the enforcement point: it runs the
-golden scenario under the :class:`StallMonitor`, tears the testbed down
-and diffs the store high-water marks against the committed
+``test_stallcheck_gate`` is the enforcement point: it runs every
+catalogue scenario under the :class:`StallMonitor`, tears the testbed
+down and diffs the store high-water marks against the committed
 ``STALL_BUDGET.json`` — so a deadlock, a leaked waiter, or an unbounded
 queue regression anywhere in the stack fails the ordinary pytest run.
 The toy tests pin each detector's behaviour on a purpose-built stall.
@@ -15,17 +15,20 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint.cli import main as lint_cli
+from repro.lint.harness import (
+    BUDGET_FILES,
+    diff_budget,
+    pin_budget,
+    run_check,
+)
 from repro.lint.stallcheck import (
-    DEFAULT_BUDGET_PATH,
-    SCENARIOS,
     UNBUDGETED_FLOOR,
     StallcheckResult,
     StallMonitor,
-    apply_budget,
-    budget_document,
-    check_scenario,
     check_toy,
 )
+from repro.scenarios import SCENARIOS, scenario
 from repro.sim.core import SHUTDOWN, Environment, ProcessGroup
 from repro.sim.resources import Store
 
@@ -148,9 +151,9 @@ def test_nested_activation_is_rejected():
 # ----------------------------------------------------------------------
 
 
-def _result(high_water=None) -> StallcheckResult:
+def _result(high_water=None, name="golden") -> StallcheckResult:
     return StallcheckResult(
-        scenario="golden",
+        scenario=name,
         seed=7,
         events=2000,
         high_water=high_water or {},
@@ -166,17 +169,17 @@ def _budget(high_water) -> dict:
 
 def test_within_budget_is_clean():
     result = _result({"repro/x.py:1": 10})
-    apply_budget(result, _budget({"repro/x.py:1": 10}))
+    diff_budget(result, _budget({"repro/x.py:1": 10}))
     assert result.clean
 
 
 def test_budget_boundary_is_inclusive():
     """Exactly int(pinned * 1.25) + 2 still passes; one more fails."""
     result = _result({"repro/x.py:1": 14})  # int(10 * 1.25) + 2 == 14
-    apply_budget(result, _budget({"repro/x.py:1": 10}))
+    diff_budget(result, _budget({"repro/x.py:1": 10}))
     assert result.clean
     over = _result({"repro/x.py:1": 15})
-    apply_budget(over, _budget({"repro/x.py:1": 10}))
+    diff_budget(over, _budget({"repro/x.py:1": 10}))
     assert not over.clean
     assert "backlog regression" in over.violations[0]
     assert "STALL" in over.summary()
@@ -184,43 +187,58 @@ def test_budget_boundary_is_inclusive():
 
 def test_unbudgeted_site_gated_only_past_floor():
     result = _result({"repro/new.py:9": UNBUDGETED_FLOOR})
-    apply_budget(result, _budget({}))
+    diff_budget(result, _budget({}))
     assert result.clean
     over = _result({"repro/new.py:9": UNBUDGETED_FLOOR + 1})
-    apply_budget(over, _budget({}))
+    diff_budget(over, _budget({}))
     assert not over.clean
     assert "unbudgeted store" in over.violations[0]
 
 
-def test_budget_document_merges_scenarios():
-    existing = budget_document(_result({"repro/x.py:1": 3}))
-    other = StallcheckResult(
-        scenario="line3", seed=7, events=100, high_water={"repro/y.py:2": 1}
-    )
-    merged = budget_document(other, existing)
+def test_pinned_site_never_observed_is_a_violation():
+    """A pin whose creation site no longer exists (the code moved) must
+    fail loudly instead of leaving the real queue gated by the floor."""
+    result = _result({"repro/x.py:2": 0})
+    diff_budget(result, _budget({"repro/x.py:1": 0}))
+    assert not result.clean
+    (violation,) = result.violations
+    assert "repro/x.py:1" in violation
+    assert "never observed" in violation and "re-pin" in violation
+
+
+def test_unpinned_scenario_is_a_violation():
+    result = _result({"repro/x.py:1": 0}, name="line3")
+    diff_budget(result, _budget({"repro/x.py:1": 0}))
+    assert not result.clean
+    assert "no entry for scenario 'line3'" in result.violations[0]
+
+
+def test_budget_document_merges_scenarios(tmp_path):
+    path = tmp_path / "budget.json"
+    pin_budget(path, _result({"repro/x.py:1": 3}))
+    other = _result({"repro/y.py:2": 1}, name="line3")
+    pin_budget(path, other)
+    merged = json.loads(path.read_text())
     assert set(merged["scenarios"]) == {"golden", "line3"}
     assert merged["scenarios"]["golden"]["high_water"] == {"repro/x.py:1": 3}
     fresh = _result({"repro/x.py:1": 3})
-    apply_budget(fresh, merged)
+    diff_budget(fresh, merged)
     assert fresh.clean
 
 
-def test_unknown_scenario_raises():
-    with pytest.raises(ValueError, match="unknown stallcheck scenario"):
-        check_scenario("no-such-scenario")
-
-
-def test_scenario_registry_names():
-    assert set(SCENARIOS) == {
-        "golden", "golden-faults", "fleet", "line3", "hub4", "skewed"
-    }
+def test_unknown_scenario_raises(capsys):
+    """The CLI resolves names through the one catalogue lookup."""
+    with pytest.raises(SystemExit) as exit_info:
+        lint_cli(["--stallcheck", "no-such-scenario"])
+    assert exit_info.value.code == 2
+    assert "unknown scenario 'no-such-scenario'" in capsys.readouterr().err
 
 
 def test_default_budget_path_is_repo_root():
-    assert DEFAULT_BUDGET_PATH == REPO_ROOT / "STALL_BUDGET.json"
-    assert DEFAULT_BUDGET_PATH.is_file(), (
+    assert BUDGET_FILES["stallcheck"] == REPO_ROOT / "STALL_BUDGET.json"
+    assert BUDGET_FILES["stallcheck"].is_file(), (
         "STALL_BUDGET.json must be committed; re-pin with "
-        "`python -m repro lint --stallcheck <scenario> --write-stall-budget`"
+        "`python -m repro lint --stallcheck <scenario> --write-budget`"
     )
 
 
@@ -229,53 +247,30 @@ def test_default_budget_path_is_repo_root():
 # ----------------------------------------------------------------------
 
 
-def test_stallcheck_gate_golden():
-    """THE gate: golden must run, tear down leak-free, and stay within
-    the committed stall budget.  On an intentional queue-depth change,
-    audit the summary, then re-pin with --write-stall-budget."""
-    result = check_scenario("golden")
+@pytest.mark.stallcheck
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_stallcheck_gate(name):
+    """THE gate: every catalogue scenario must run, tear down leak-free,
+    and stay within its committed stall budget.  On an intentional
+    queue-depth change, audit the summary, then re-pin with
+    --write-budget."""
+    result = run_check("stallcheck", name, scenario(name, 7))
     assert result.budget is not None, "committed STALL_BUDGET.json not loaded"
     assert result.clean, result.summary()
     assert result.live == 0
-    # Teardown steps a deterministic number of drain events on top of the
-    # pinned 2013-event golden run; the total is pinned in the budget.
-    assert result.events == result.budget["scenarios"]["golden"]["events"]
+    # Teardown steps a deterministic number of drain events on top of
+    # the run itself; the total is pinned in the budget.
+    assert result.events == result.budget["scenarios"][name]["events"]
 
 
 def test_write_budget_pins_a_diffable_file(tmp_path):
     path = tmp_path / "budget.json"
-    pinned = check_scenario("golden", budget_path=str(path), write_budget=True)
+    config = scenario("golden", 7)
+    pinned = run_check("stallcheck", "golden", config, str(path), True)
     assert pinned.wrote_budget_to == str(path)
     assert "pinned stall budget" in pinned.summary()
     document = json.loads(path.read_text())
     assert "golden" in document["scenarios"]
 
-    checked = check_scenario("golden", budget_path=str(path))
+    checked = run_check("stallcheck", "golden", config, str(path))
     assert checked.clean, checked.summary()
-
-
-@pytest.mark.stallcheck
-def test_golden_faults_scenario_has_no_stall():
-    result = check_scenario("golden-faults", seed=7)
-    assert result.clean, result.summary()
-
-
-@pytest.mark.stallcheck
-def test_line3_scenario_has_no_stall():
-    result = check_scenario("line3", seed=7)
-    assert result.clean, result.summary()
-
-
-@pytest.mark.stallcheck
-def test_hub4_scenario_has_no_stall():
-    result = check_scenario("hub4", seed=7)
-    assert result.clean, result.summary()
-
-
-@pytest.mark.stallcheck
-def test_skewed_scenario_has_no_stall():
-    """Engine mode spawns a process per arrival (plus spam/griefing
-    loops); none of them may leak a live process or store entry past
-    teardown, and the mempool/queue high-water marks stay in budget."""
-    result = check_scenario("skewed", seed=7)
-    assert result.clean, result.summary()
