@@ -139,6 +139,14 @@ def test_unknown_scenario_raises(capsys):
     assert "unknown scenario 'nope' (known: " in capsys.readouterr().err
 
 
+def test_scenario_registry_names():
+    """schedcheck runs the catalogue: every scenario the gate below
+    covers, and every name ``--schedcheck`` accepts."""
+    assert set(SCENARIOS) == {
+        "golden", "golden-faults", "fleet", "line3", "hub4", "skewed", "fig12"
+    }
+
+
 # ----------------------------------------------------------------------
 # Every catalogue scenario (the acceptance gate)
 # ----------------------------------------------------------------------

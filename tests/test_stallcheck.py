@@ -234,6 +234,17 @@ def test_unknown_scenario_raises(capsys):
     assert "unknown scenario 'no-such-scenario'" in capsys.readouterr().err
 
 
+def test_scenario_registry_names():
+    """The stall gate runs the catalogue, and a scenario without a budget
+    entry fails it, so the committed budget pins exactly those names."""
+    names = {
+        "golden", "golden-faults", "fleet", "line3", "hub4", "skewed", "fig12"
+    }
+    assert set(SCENARIOS) == names
+    budget = json.loads(BUDGET_FILES["stallcheck"].read_text())
+    assert set(budget["scenarios"]) == names
+
+
 def test_default_budget_path_is_repo_root():
     assert BUDGET_FILES["stallcheck"] == REPO_ROOT / "STALL_BUDGET.json"
     assert BUDGET_FILES["stallcheck"].is_file(), (
